@@ -1742,12 +1742,11 @@ pub fn load_baseline(dir: &Path, scenario: &str) -> Option<Value> {
 /// Metric-name prefixes of the spill/compaction telemetry that gets its
 /// own `<scenario>.<mode>.spill.json` artifact next to the full
 /// snapshot — the memory-bounding evidence (dedup shards, vocabulary
-/// log, work-queue overflow, stale-file sweeps, segment compaction) in
+/// log, stale-file sweeps, segment compaction) in
 /// one small file instead of buried in the complete metrics dump.
 const SPILL_METRIC_PREFIXES: &[&str] = &[
     "crawl.dedup.",
     "crawl.spill.",
-    "crawl.work_queue.",
     "vocab.spill.",
     "store.compaction.",
 ];

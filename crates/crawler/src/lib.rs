@@ -33,7 +33,10 @@
 //! * a **discrete-event executor** modelling N crawler threads over
 //!   virtual time, deterministic and snapshot-friendly ([`Crawler`]), and
 //!   a real-thread executor that pulls batches through the same pipeline
-//!   for raw throughput measurements ([`threaded`]).
+//!   for raw throughput measurements ([`threaded`]),
+//! * a journaled **lease/ack work queue** with poison-budget quarantine,
+//!   the one work-lease lifecycle of the threaded executor and the
+//!   distributed coordinator ([`lease`]).
 //!
 //! Classification is pluggable through the [`DocumentJudge`] trait; the
 //! BINGO! engine (crate `bingo-core`) implements it with the hierarchical
@@ -46,6 +49,7 @@ pub mod dedup;
 pub mod dns;
 pub mod frontier;
 pub mod hosts;
+pub mod lease;
 pub mod pipeline;
 pub mod telemetry;
 pub mod threaded;
@@ -61,13 +65,15 @@ pub use frontier::{Frontier, QueueEntry, SpillConfig};
 pub use hosts::{
     BreakerConfig, BreakerState, FailureOutcome, HostDecision, HostHealth, HostManager,
 };
+pub use lease::{LeaseQueue, WorkItem};
 pub use pipeline::{process_batch, BatchJudge, DocOutcome, FetchedDoc, PipelineMetrics};
 pub use step::{Crawler, StepOutcome};
 pub use telemetry::CrawlTelemetry;
-pub use threaded::{
-    run_pipeline, FaultPlan, FaultStage, PipelineOptions, SupervisionConfig, ThroughputReport,
+pub use threaded::{run_pipeline, FaultPlan, FaultStage, PipelineOptions, ThroughputReport};
+pub use types::{
+    admit_url, CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, PageContext,
+    UrlRejection,
 };
-pub use types::{CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, PageContext};
 
 use bingo_textproc::AnalyzedDocument;
 

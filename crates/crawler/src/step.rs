@@ -24,7 +24,7 @@ use crate::hosts::{FailureOutcome, HostDecision, HostManager};
 use crate::pipeline::{process_batch, top_terms, DocOutcome, FetchedDoc, NEIGHBOR_TERMS_KEPT};
 use crate::telemetry::CrawlTelemetry;
 use crate::types::{
-    CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, MAX_HOSTNAME_LEN, MAX_URL_LEN,
+    admit_url, CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, UrlRejection,
 };
 use crate::DocumentJudge;
 use bingo_obs::{Event, WallTimer};
@@ -231,7 +231,7 @@ impl Crawler {
 
     /// Dedup spill configuration derived from the crawl config (`None`
     /// unless `dedup_spill_dir` is set).
-    fn dedup_spill_config(config: &CrawlConfig) -> Option<DedupSpillConfig> {
+    pub(crate) fn dedup_spill_config(config: &CrawlConfig) -> Option<DedupSpillConfig> {
         config.dedup_spill_dir.as_ref().map(|dir| DedupSpillConfig {
             hot_cap: config.dedup_hot_cap,
             ..DedupSpillConfig::new(dir)
@@ -244,7 +244,7 @@ impl Crawler {
     /// configured spill directory. Spill files are run-scratch and
     /// never referenced by checkpoints, so anything present before the
     /// run starts is leftover from an aborted run.
-    fn sweep_stale_spill_files(config: &CrawlConfig) -> u64 {
+    pub(crate) fn sweep_stale_spill_files(config: &CrawlConfig) -> u64 {
         let mut dirs: Vec<&std::path::Path> = config
             .frontier_spill_dir
             .iter()
@@ -441,19 +441,23 @@ impl Crawler {
     /// [`Crawler::save_session`]: the newest *complete* generation is
     /// the recovery target — torn or corrupted generations (crash
     /// mid-save, bit rot) are skipped, rolling back to the last good
-    /// commit. Directories written by the pre-generation flat layout
-    /// load via the legacy fallback. `world` and `config` must match
-    /// the original crawl for the resumed run to be meaningful.
+    /// commit; a directory without any complete generation is an
+    /// error. `world` and `config` must match the original crawl for
+    /// the resumed run to be meaningful.
     pub fn resume_session<P: AsRef<std::path::Path>>(
         world: Arc<World>,
         config: CrawlConfig,
         dir: P,
     ) -> Result<Crawler, CheckpointError> {
         let dir = dir.as_ref();
-        let session = match durable::find_newest_complete(dir) {
-            Some(generation) => generation.dir,
-            None => dir.to_path_buf(), // legacy flat layout
-        };
+        let session = durable::find_newest_complete(dir)
+            .ok_or_else(|| {
+                CheckpointError::Store(format!(
+                    "no complete session generation in {}",
+                    dir.display()
+                ))
+            })?
+            .dir;
         let store = bingo_store::persist::load(session.join(STORE_FILE))
             .map_err(|e| CheckpointError::Store(e.to_string()))?;
         let cp = load_checkpoint(session.join(CRAWLER_FILE))?;
@@ -653,24 +657,13 @@ impl Crawler {
         self.stats.max_depth = self.stats.max_depth.max(entry.depth);
 
         // URL hygiene (Section 4.2 "document type management").
-        let Some(host) = host_of_url(&entry.url).map(str::to_string) else {
-            self.stats.url_rejected += 1;
-            return StepOutcome::Skipped("malformed url");
-        };
-        if entry.url.len() > MAX_URL_LEN || host.len() > MAX_HOSTNAME_LEN {
-            self.stats.url_rejected += 1;
-            return StepOutcome::Skipped("url length guard");
-        }
-        if self.config.locked_hosts.contains(&host) {
-            self.stats.url_rejected += 1;
-            return StepOutcome::Skipped("locked host");
-        }
-        if let Some(allowed) = &self.config.allowed_hosts {
-            if !allowed.contains(&host) {
+        let host = match admit_url(&self.config, &entry.url) {
+            Ok(host) => host.to_string(),
+            Err(rejection) => {
                 self.stats.url_rejected += 1;
-                return StepOutcome::Skipped("outside allowed domains");
+                return StepOutcome::Skipped(rejection.reason());
             }
-        }
+        };
         // Circuit breaker (Section 4.2 host quality, with recovery): an
         // open breaker parks the URL until the half-open deadline instead
         // of dropping it; the first URL past the deadline becomes the probe.
@@ -962,23 +955,14 @@ impl Crawler {
 
         for link in &doc.links {
             let url = &link.href;
-            if url.len() > MAX_URL_LEN {
-                self.stats.url_rejected += 1;
-                continue;
-            }
-            let Some(link_host) = host_of_url(url) else {
-                self.stats.url_rejected += 1;
-                continue;
-            };
-            if link_host.len() > MAX_HOSTNAME_LEN || self.config.locked_hosts.contains(link_host) {
-                self.stats.url_rejected += 1;
-                continue;
-            }
-            if let Some(allowed) = &self.config.allowed_hosts {
-                if !allowed.contains(link_host) {
+            let link_host = match admit_url(&self.config, url) {
+                Ok(host) => host,
+                Err(UrlRejection::OutsideAllowed) => continue,
+                Err(_) => {
+                    self.stats.url_rejected += 1;
                     continue;
                 }
-            }
+            };
             if self.hosts.is_bad(link_host) {
                 continue;
             }
@@ -1738,34 +1722,6 @@ mod tests {
         let resumed = Crawler::resume_session(world, config, &dir).unwrap();
         assert!(resumed.store().document_count() > 0);
         assert!(resumed.clock_ms() > 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_flat_sessions_still_resume() {
-        // Sessions written before the generation layout (store.jsonl +
-        // crawler.json directly in the directory) must keep loading.
-        let dir = std::env::temp_dir().join("bingo-legacy-session-test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let world = Arc::new(WorldConfig::small_test(39).build());
-        let config = CrawlConfig {
-            max_depth: 0,
-            ..CrawlConfig::default()
-        };
-        let mut crawler = Crawler::new(world.clone(), config.clone(), DocumentStore::new());
-        crawler.add_seed(&world.url_of(1), Some(0));
-        let mut judge = accept_all();
-        let mut vocab = Vocabulary::new();
-        crawler.run_until(10_000, &mut judge, &mut vocab);
-        assert!(crawler.stats().stored_pages > 0);
-        bingo_store::persist::save(crawler.store(), dir.join(STORE_FILE)).unwrap();
-        crate::checkpoint::save_checkpoint(&crawler.checkpoint(), dir.join(CRAWLER_FILE)).unwrap();
-        let resumed = Crawler::resume_session(world, config, &dir).unwrap();
-        assert_eq!(
-            resumed.store().document_count(),
-            crawler.store().document_count()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -70,8 +70,6 @@ pub struct CrawlTelemetry {
     pub worker_requeued: Counter,
     /// URLs quarantined after exhausting their poison budget.
     pub worker_quarantined: Counter,
-    /// Replacement workers spawned by the supervisor.
-    pub worker_restarts: Counter,
     /// Document-analysis metrics (tokenize/vectorize volume and cost).
     pub textproc: TextprocMetrics,
     /// Per-stage document-pipeline metrics (queue depths, batch sizes,
@@ -84,11 +82,8 @@ pub struct CrawlTelemetry {
     /// `dedup_spill_dir` is configured).
     pub dedup: DedupTelemetry,
     /// Stale spill files (frontier slots, dedup shards, vocabulary
-    /// logs, work-queue overflow) swept on startup.
+    /// logs) swept on startup.
     pub spill_reaped: Counter,
-    /// Work-queue overflow batches spilled to disk by the threaded
-    /// executor (zero unless `work_queue_hot_cap` is set).
-    pub work_spill_batches: Counter,
 }
 
 /// Metric handles for the incremental host graph
@@ -199,13 +194,11 @@ impl CrawlTelemetry {
             worker_panics: registry.counter("crawl.worker.panics"),
             worker_requeued: registry.counter("crawl.worker.requeued"),
             worker_quarantined: registry.counter("crawl.worker.quarantined"),
-            worker_restarts: registry.counter("crawl.worker.restarts"),
             textproc: TextprocMetrics::new(registry.clone()),
             pipeline: PipelineMetrics::new(&registry),
             graph: GraphTelemetry::new(&registry),
             dedup: DedupTelemetry::new(&registry),
             spill_reaped: registry.counter("crawl.spill.reaped"),
-            work_spill_batches: registry.counter("crawl.work_queue.spill_batches"),
             registry,
             events,
         }

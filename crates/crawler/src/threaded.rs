@@ -12,30 +12,33 @@
 //! paper's §4.1 throughput number is about.
 //!
 //! The crawl itself is a **level-synchronized BFS**: each depth level is
-//! distributed over the workers through a channel, and the next level
-//! starts only after the current one drains. That keeps depths exact
-//! (a page always gets the depth of its shallowest discoverer) and
-//! guarantees a predecessor's top terms are available to its successors'
-//! neighbour feature space, while still letting every level saturate all
-//! cores. URL/fingerprint duplicate elimination is shared across workers
-//! behind a mutex; term ids come from the lock-sharded
-//! [`SharedVocabulary`], whose `canonicalize` map makes the final store
-//! comparable with a single-threaded run.
+//! leased out to the workers from a [`LeaseQueue`], and the next level
+//! becomes leasable only after the current one drains — the workers of
+//! a level run in one thread scope, whose join is the level barrier.
+//! That keeps depths exact (a page always gets the depth of its
+//! shallowest discoverer) and guarantees a predecessor's top terms are
+//! available to its successors' neighbour feature space, while still
+//! letting every level saturate all cores. URL/fingerprint duplicate
+//! elimination is shared across workers behind a mutex; term ids come
+//! from the lock-sharded [`SharedVocabulary`], whose `canonicalize` map
+//! makes the final store comparable with a single-threaded run.
 //!
 //! # Supervision
 //!
 //! A worker panic must not abort a multi-day crawl, and a single
-//! pathological document must not wedge it in a retry loop. Workers
-//! therefore run every batch under `catch_unwind` (the supervisor-tree
-//! discipline): a panicking worker rolls back the duplicate
-//! fingerprints its half-processed batch journaled, discards the rows
-//! staged in its bulk-load workspace, and dies reporting its in-flight
-//! URLs. The level loop doubles as the supervisor — it requeues those
-//! URLs into a retry round of single-URL batches (isolating whichever
-//! document actually crashes), charges a per-URL poison budget on every
-//! attributable (solo) panic, **quarantines** documents that exhaust
-//! it, and respawns replacement workers up to a restart budget. Every
-//! panic, requeue, quarantine and restart is counted and logged through
+//! pathological document must not wedge it in a retry loop. Work
+//! therefore follows the lease lifecycle of [`crate::lease`], the same
+//! one the distributed coordinator uses. Every batch is a lease,
+//! processed under `catch_unwind`. A batch that commits is acked. A
+//! batch that panics is rolled back — the duplicate fingerprints it
+//! journaled are unmarked and the rows staged in its bulk-load
+//! workspace discarded — and its lease is failed, which requeues its
+//! URLs with an attempt charge; the worker keeps leasing. Requeued URLs
+//! are leased one at a time, isolating whichever document actually
+//! crashes, and a URL that rides more than `POISON_BUDGET` (2) failed
+//! leases is **quarantined**. At each level barrier the supervisor
+//! fails any lease a worker left behind by dying outside
+//! `catch_unwind`, and logs every panic, requeue and quarantine through
 //! [`CrawlTelemetry`]. Shared state is accessed through a
 //! poison-recovering lock helper: a panicked peer never takes the
 //! dedup filter or the statistics down with it.
@@ -51,48 +54,30 @@
 //!   time.
 
 use crate::dedup::{path_of_url, Dedup, DedupMark};
+use crate::lease::{LeaseQueue, LeaseRecord, LeaseStats, QueuedItem, WorkItem};
 use crate::pipeline::{process_batch, top_terms, BatchJudge, DocOutcome, FetchedDoc};
 use crate::telemetry::CrawlTelemetry;
-use crate::types::{CrawlConfig, CrawlStats, MAX_HOSTNAME_LEN, MAX_URL_LEN};
+use crate::types::{admit_url, CrawlConfig, CrawlStats, UrlRejection};
+use crate::Crawler;
 use bingo_obs::Event;
 use bingo_store::{BulkLoader, BulkLoaderObs, DocumentStore};
 use bingo_textproc::fxhash::{self, FxHashMap};
 use bingo_textproc::{ContentRegistry, SharedVocabulary, TermId};
-use bingo_webworld::fetch::host_of_url;
 use bingo_webworld::{FetchOutcome, FetchResponse, World};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+/// Failed leases a URL may ride before it is quarantined. Its first
+/// failure usually comes on a full batch it merely shared with the
+/// crasher; every retry after that leases it alone.
+const POISON_BUDGET: u32 = 2;
 
 /// Acquire a mutex, recovering from poisoning: a panicked worker never
 /// takes shared crawl state down with it. Rollback of the panicked
 /// batch is the supervisor's job, not the lock's.
 fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Supervisor limits for the threaded executor.
-#[derive(Debug, Clone)]
-pub struct SupervisionConfig {
-    /// Attributable (single-URL batch) panics a URL may cause before it
-    /// is quarantined instead of requeued.
-    pub poison_budget: u32,
-    /// Total replacement workers the supervisor may spawn; once
-    /// exhausted, still-unprocessed panic survivors are quarantined so
-    /// the crawl terminates.
-    pub restart_budget: u32,
-}
-
-impl Default for SupervisionConfig {
-    fn default() -> Self {
-        SupervisionConfig {
-            poison_budget: 2,
-            restart_budget: 1024,
-        }
-    }
 }
 
 /// Pipeline stage a [`FaultPlan`] fires in.
@@ -179,8 +164,6 @@ pub struct PipelineOptions {
     /// level (BFS). When false the run processes exactly the given URLs
     /// at depth 0 — the flat throughput-measurement mode.
     pub follow_links: bool,
-    /// Supervisor limits (poison and restart budgets).
-    pub supervision: SupervisionConfig,
     /// Seeded worker-panic injection (tests only; `None` in production).
     pub fault: Option<FaultPlan>,
 }
@@ -193,7 +176,6 @@ impl PipelineOptions {
             threads,
             batch_size,
             follow_links: false,
-            supervision: SupervisionConfig::default(),
             fault: None,
         }
     }
@@ -206,7 +188,6 @@ impl PipelineOptions {
             threads,
             batch_size,
             follow_links: true,
-            supervision: SupervisionConfig::default(),
             fault: None,
         }
     }
@@ -234,166 +215,23 @@ pub struct ThroughputReport {
     pub quarantined: Vec<String>,
 }
 
-/// One URL waiting for a worker, with the crawl context its discoverer
-/// attached (the threaded twin of the frontier's `QueueEntry`).
-/// Serializable so work-queue overflow batches can spill to disk.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct WorkItem {
-    url: String,
-    depth: u32,
-    src_topic: Option<u32>,
-    src_page: u64,
-    anchor_terms: Vec<TermId>,
+/// The run's work: a single-shard [`LeaseQueue`] whose leases never
+/// expire by deadline, plus the number of retry leases issued. A
+/// requeued item keeps its discovery seq, which is lower than that of
+/// every item not yet leased, so while requeued items outnumber retry
+/// leases the queue head is a retry — and is leased alone.
+struct Work {
+    queue: LeaseQueue,
+    retries_leased: u64,
 }
 
-/// Spill file prefix of the level work queue (registered in
-/// [`bingo_store::SPILL_FILE_PREFIXES`] so stale files are swept).
-const WORK_SPILL_PREFIX: &str = "work-";
-
-/// FIFO work queue for one BFS level. With `work_queue_hot_cap` set
-/// (and a frontier spill directory configured), overflow past the hot
-/// tier spills to `work-*.spill` batch files — JSON lines of
-/// [`WorkItem`] written with [`bingo_store::durable::atomic_write`] —
-/// and is read back in insertion order, so pop order is identical to
-/// the fully resident queue. A failed spill write keeps the batch
-/// resident (order and answers never change; only the memory bound
-/// degrades). Spill files are scratch: stale ones from an aborted run
-/// are swept when the executor starts.
-struct PendingQueue {
-    hot: VecDeque<WorkItem>,
-    /// Items newer than every spilled batch, awaiting flush or drain.
-    overflow: Vec<WorkItem>,
-    /// Spilled batches, oldest first: `(path, item count)`.
-    spill_files: VecDeque<(PathBuf, usize)>,
-    spilled: usize,
-    /// Hot-tier capacity; 0 keeps the queue fully resident.
-    hot_cap: usize,
-    dir: Option<PathBuf>,
-    /// Run-global file-number source: the current level's queue and the
-    /// accumulating next-level queue spill into the same directory.
-    file_seq: Arc<AtomicU64>,
-    spill_batches: u64,
-}
-
-impl PendingQueue {
-    fn new(config: &CrawlConfig, file_seq: Arc<AtomicU64>) -> Self {
-        let spilling = config.work_queue_hot_cap > 0 && config.frontier_spill_dir.is_some();
-        PendingQueue {
-            hot: VecDeque::new(),
-            overflow: Vec::new(),
-            spill_files: VecDeque::new(),
-            spilled: 0,
-            hot_cap: if spilling {
-                config.work_queue_hot_cap
-            } else {
-                0
-            },
-            dir: if spilling {
-                config.frontier_spill_dir.clone()
-            } else {
-                None
-            },
-            file_seq,
-            spill_batches: 0,
-        }
+impl Work {
+    fn lease(&mut self, batch_size: usize) -> Option<LeaseRecord> {
+        let retry = self.queue.stats().requeued > self.retries_leased;
+        let lease = self.queue.lease(0, if retry { 1 } else { batch_size }, 0)?;
+        self.retries_leased += u64::from(retry);
+        Some(lease)
     }
-
-    fn len(&self) -> usize {
-        self.hot.len() + self.spilled + self.overflow.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push_back(&mut self, item: WorkItem) {
-        if self.hot_cap == 0
-            || (self.spill_files.is_empty()
-                && self.overflow.is_empty()
-                && self.hot.len() < self.hot_cap)
-        {
-            self.hot.push_back(item);
-            return;
-        }
-        self.overflow.push(item);
-        if self.overflow.len() >= self.hot_cap {
-            self.flush_overflow();
-        }
-    }
-
-    /// Write the overflow buffer as one spill batch; on failure the
-    /// batch just stays resident.
-    fn flush_overflow(&mut self) {
-        let Some(dir) = &self.dir else { return };
-        if self.overflow.is_empty() {
-            return;
-        }
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let mut bytes = Vec::new();
-        for item in &self.overflow {
-            if serde_json::to_writer(&mut bytes, item).is_err() {
-                return;
-            }
-            bytes.push(b'\n');
-        }
-        let seq = self.file_seq.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("{WORK_SPILL_PREFIX}{seq:06}.spill"));
-        if bingo_store::durable::atomic_write(&path, &bytes).is_err() {
-            return;
-        }
-        let count = self.overflow.len();
-        self.overflow.clear();
-        self.spilled += count;
-        self.spill_files.push_back((path, count));
-        self.spill_batches += 1;
-    }
-
-    fn pop_front(&mut self) -> Option<WorkItem> {
-        if self.hot.is_empty() {
-            self.refill();
-        }
-        self.hot.pop_front()
-    }
-
-    /// Reload the oldest spilled batch (or, once none remain, the
-    /// resident overflow tail) into the hot tier.
-    fn refill(&mut self) {
-        if let Some((path, count)) = self.spill_files.pop_front() {
-            let bytes = std::fs::read(&path).expect("work-queue spill file vanished");
-            std::fs::remove_file(&path).ok();
-            self.spilled -= count;
-            let text = String::from_utf8(bytes).expect("work-queue spill file corrupt");
-            for line in text.lines().filter(|l| !l.is_empty()) {
-                let item: WorkItem =
-                    serde_json::from_str(line).expect("work-queue spill file corrupt");
-                self.hot.push_back(item);
-            }
-        } else {
-            self.hot.extend(self.overflow.drain(..));
-        }
-    }
-}
-
-/// What one worker reported back to the supervisor when it finished or
-/// died.
-#[derive(Default)]
-struct WorkerExit {
-    /// Work items discovered for the next BFS level (kept even when the
-    /// worker later panicked: they came from fully committed batches).
-    next_level: Vec<WorkItem>,
-    /// Set when the worker died mid-batch.
-    panic: Option<PanicReport>,
-}
-
-/// A caught worker panic, with the batch that was in flight.
-struct PanicReport {
-    /// Rendered panic payload.
-    message: String,
-    /// URLs consumed from the level queue whose processing never
-    /// committed — the supervisor requeues or quarantines them.
-    in_flight: Vec<WorkItem>,
 }
 
 /// Render a panic payload for events and counters.
@@ -405,6 +243,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// State every worker of a run shares.
+struct Shared<'a> {
+    world: &'a World,
+    store: &'a DocumentStore,
+    vocab: &'a SharedVocabulary,
+    judge: &'a dyn BatchJudge,
+    telemetry: &'a CrawlTelemetry,
+    opts: &'a PipelineOptions,
+    work: Mutex<Work>,
+    dedup: Mutex<Dedup>,
+    page_top_terms: Mutex<FxHashMap<u64, Vec<TermId>>>,
+    stats: Mutex<CrawlStats>,
+    started: Instant,
+    injector: Option<FaultInjector>,
 }
 
 /// Pump `seeds` (URL, topic) through the staged document pipeline with
@@ -428,214 +282,134 @@ pub fn run_pipeline(
     // Honor the same spill knobs as the deterministic executor: stale
     // spill debris from aborted runs is swept before any tier starts
     // writing, and the duplicate filter spills when configured.
-    let config = &opts.config;
-    let mut stale_reaped = 0u64;
-    for dir in [&config.frontier_spill_dir, &config.dedup_spill_dir]
-        .into_iter()
-        .flatten()
-    {
-        stale_reaped +=
-            bingo_store::spill::reap_stale_spill_files(dir, bingo_store::SPILL_FILE_PREFIXES)
-                as u64;
-    }
-    telemetry.spill_reaped.add(stale_reaped);
-    let dedup = Mutex::new(match &config.dedup_spill_dir {
-        Some(dir) => Dedup::with_spill(&crate::dedup::DedupSpillConfig {
-            hot_cap: config.dedup_hot_cap,
-            ..crate::dedup::DedupSpillConfig::new(dir)
-        }),
+    telemetry
+        .spill_reaped
+        .add(Crawler::sweep_stale_spill_files(&opts.config));
+    let mut dedup = match Crawler::dedup_spill_config(&opts.config) {
+        Some(cfg) => Dedup::with_spill(&cfg),
         None => Dedup::new(),
-    });
+    };
+    // The seeds are level 0: offered at the first barrier below.
+    let mut next_level: Vec<WorkItem> = seeds
+        .into_iter()
+        .filter(|(url, _)| dedup.mark_url(url))
+        .map(|(url, src_topic)| WorkItem {
+            url,
+            src_topic,
+            ..WorkItem::default()
+        })
+        .collect();
+    let shared = Shared {
+        world: &world,
+        store: &store,
+        vocab,
+        judge,
+        telemetry,
+        opts,
+        work: Mutex::new(Work {
+            queue: LeaseQueue::new(1, POISON_BUDGET, u64::MAX),
+            retries_leased: 0,
+        }),
+        dedup: Mutex::new(dedup),
+        page_top_terms: Mutex::new(FxHashMap::default()),
+        stats: Mutex::new(CrawlStats::default()),
+        started,
+        injector: opts.fault.clone().map(FaultInjector::new),
+    };
     let mut last_dedup = crate::dedup::DedupStats::default();
     let mut last_vocab = bingo_textproc::VocabSpillStats::default();
-    let page_top_terms: Mutex<FxHashMap<u64, Vec<TermId>>> = Mutex::new(FxHashMap::default());
-    let stats = Mutex::new(CrawlStats::default());
-    let injector = opts.fault.clone().map(FaultInjector::new);
+    let mut last_lease = LeaseStats::default();
 
-    let work_file_seq = Arc::new(AtomicU64::new(0));
-    let mut level = PendingQueue::new(config, Arc::clone(&work_file_seq));
-    {
-        let mut dedup = lock_clean(&dedup);
-        for (url, topic) in seeds {
-            if dedup.mark_url(&url) {
-                level.push_back(WorkItem {
-                    url,
-                    depth: 0,
-                    src_topic: topic,
-                    src_page: 0,
-                    anchor_terms: Vec::new(),
-                });
+    // One thread scope per pass; a pass normally drains one BFS level.
+    // A pass ends early only when a worker died outside its
+    // `catch_unwind`: the next pass re-runs the level's failed leases.
+    for pass in 0u64.. {
+        let pending = {
+            let mut work = lock_clean(&shared.work);
+            if work.queue.pending_total() == 0 {
+                for item in next_level.drain(..) {
+                    work.queue.offer(0, item);
+                }
             }
+            work.queue.pending_total()
+        };
+        if pending == 0 {
+            break;
         }
-    }
-
-    // Supervisor state, shared across all levels.
-    let mut poison: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut quarantined: Vec<String> = Vec::new();
-    let mut restarts_left = opts.supervision.restart_budget;
-
-    while !level.is_empty() {
-        // Drain one BFS level under supervision. `pending` holds the
-        // still-unprocessed items of this level; retry rounds after a
-        // panic run single-URL batches to isolate the crasher.
-        let mut pending = std::mem::replace(
-            &mut level,
-            PendingQueue::new(config, Arc::clone(&work_file_seq)),
-        );
-        let mut round = 0u64;
-        while !pending.is_empty() {
-            telemetry.pipeline.queue_depth.set(pending.len() as i64);
-            let batch_size = if round == 0 {
-                opts.batch_size.max(1)
-            } else {
-                1
-            };
-            let workers = opts.threads.max(1).min(pending.len());
-            let queue = Mutex::new(pending);
-
-            let exits: Vec<WorkerExit> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let world = &world;
-                        let store = &store;
-                        let queue = &queue;
-                        let dedup = &dedup;
-                        let page_top_terms = &page_top_terms;
-                        let stats = &stats;
-                        let injector = injector.as_ref();
-                        scope.spawn(move || {
-                            run_worker(
-                                world,
-                                store,
-                                queue,
-                                vocab,
-                                judge,
-                                telemetry,
-                                opts,
-                                batch_size,
-                                dedup,
-                                page_top_terms,
-                                stats,
-                                &started,
-                                injector,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        // A panic that escaped the worker's own
-                        // catch_unwind (it should not exist) is still a
-                        // supervised death, not an abort.
-                        h.join().unwrap_or_else(|payload| WorkerExit {
-                            next_level: Vec::new(),
-                            panic: Some(PanicReport {
-                                message: panic_message(payload.as_ref()),
-                                in_flight: Vec::new(),
-                            }),
-                        })
-                    })
-                    .collect()
-            });
-
-            // Supervise: collect survivors' discoveries, triage the
-            // in-flight URLs of dead workers. Items still sitting in
-            // the level queue when every worker died were never
-            // attempted — recover them too, without a poison charge.
-            let mut leftover = queue.into_inner().unwrap_or_else(|p| p.into_inner());
-            telemetry.work_spill_batches.add(leftover.spill_batches);
-            leftover.spill_batches = 0;
-            let mut requeue: Vec<WorkItem> = Vec::new();
-            while let Some(item) = leftover.pop_front() {
-                requeue.push(item);
-            }
-            pending = PendingQueue::new(config, Arc::clone(&work_file_seq));
-            let mut panic_messages: Vec<String> = Vec::new();
-            let mut newly_quarantined: Vec<String> = Vec::new();
-            for exit in exits {
-                for item in exit.next_level {
-                    level.push_back(item);
-                }
-                let Some(report) = exit.panic else { continue };
-                telemetry.worker_panics.inc();
-                panic_messages.push(report.message);
-                for item in report.in_flight {
-                    // Only a single-URL batch pins the panic on its URL.
-                    if round > 0 {
-                        let charges = poison.entry(fxhash::hash_one(&item.url)).or_insert(0);
-                        *charges += 1;
-                        if *charges >= opts.supervision.poison_budget.max(1) {
-                            newly_quarantined.push(item.url);
-                            continue;
-                        }
+        telemetry.pipeline.queue_depth.set(pending as i64);
+        let workers = opts.threads.max(1).min(pending);
+        let mut panics: Vec<String> = Vec::new();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| shared.run_worker()))
+                .collect();
+            for handle in handles {
+                match handle.join() {
+                    Ok((found, caught)) => {
+                        next_level.extend(found);
+                        panics.extend(caught);
                     }
-                    requeue.push(item);
+                    // A panic that escaped the worker's own catch_unwind
+                    // (it should not exist) is still a supervised death:
+                    // its lease is failed below.
+                    Err(payload) => panics.push(panic_message(payload.as_ref())),
                 }
             }
+        });
 
-            // Events are emitted by the supervisor after the join, in
-            // sorted order, so same-seed runs log identical bytes.
-            panic_messages.sort_unstable();
-            for message in &panic_messages {
-                telemetry
-                    .events
-                    .emit(Event::at(round, "crawl.worker.panic").with("message", message));
-            }
-            newly_quarantined.sort_unstable();
-            for url in &newly_quarantined {
-                telemetry.worker_quarantined.inc();
-                telemetry
-                    .events
-                    .emit(Event::at(round, "crawl.worker.quarantine").with("url", url));
-            }
-            quarantined.extend(newly_quarantined);
-
-            if !requeue.is_empty() {
-                requeue.sort_unstable_by(|a, b| a.url.cmp(&b.url));
-                telemetry.worker_requeued.add(requeue.len() as u64);
-                telemetry
-                    .events
-                    .emit(Event::at(round, "crawl.worker.requeue").with("count", requeue.len()));
-                let respawn = (opts.threads.max(1).min(requeue.len())) as u32;
-                if restarts_left >= respawn {
-                    // Respawn replacement workers for a retry round.
-                    restarts_left -= respawn;
-                    telemetry.worker_restarts.add(respawn as u64);
-                    telemetry
-                        .events
-                        .emit(Event::at(round, "crawl.worker.restart").with("workers", respawn));
-                    for item in requeue {
-                        pending.push_back(item);
-                    }
-                } else {
-                    // Restart budget exhausted: quarantine the
-                    // remainder so the crawl still terminates.
-                    for item in requeue {
-                        telemetry.worker_quarantined.inc();
-                        telemetry.events.emit(
-                            Event::at(round, "crawl.worker.quarantine").with("url", &item.url),
-                        );
-                        quarantined.push(item.url);
-                    }
-                }
-            }
-            // Poll the spilling tiers once per round so their gauges
-            // and counters track the crawl as it runs.
+        // Supervise at the barrier. Events are emitted here, in sorted
+        // order, so same-seed runs log identical bytes.
+        let mut work = lock_clean(&shared.work);
+        work.queue.expire_due(u64::MAX);
+        panics.sort_unstable();
+        for message in &panics {
+            telemetry.worker_panics.inc();
             telemetry
-                .dedup
-                .record(&lock_clean(&dedup).stats(), &mut last_dedup);
-            telemetry
-                .textproc
-                .vocab_spill
-                .record(&vocab.spill_stats(), &mut last_vocab);
-            round += 1;
+                .events
+                .emit(Event::at(pass, "crawl.worker.panic").with("message", message));
         }
+        let mut quarantined: Vec<&str> = work.queue.quarantined()
+            [last_lease.quarantined as usize..]
+            .iter()
+            .map(|q| q.url.as_str())
+            .collect();
+        quarantined.sort_unstable();
+        for url in quarantined {
+            telemetry.worker_quarantined.inc();
+            telemetry
+                .events
+                .emit(Event::at(pass, "crawl.worker.quarantine").with("url", url));
+        }
+        let lease_stats = work.queue.stats();
+        let requeued = lease_stats.requeued - last_lease.requeued;
+        if requeued > 0 {
+            telemetry.worker_requeued.add(requeued);
+            telemetry
+                .events
+                .emit(Event::at(pass, "crawl.worker.requeue").with("count", requeued));
+        }
+        last_lease = lease_stats;
+        drop(work);
+        // Poll the spilling tiers once per pass so their gauges and
+        // counters track the crawl as it runs.
+        telemetry
+            .dedup
+            .record(&lock_clean(&shared.dedup).stats(), &mut last_dedup);
+        telemetry
+            .textproc
+            .vocab_spill
+            .record(&vocab.spill_stats(), &mut last_vocab);
     }
     telemetry.pipeline.queue_depth.set(0);
 
     let wall = started.elapsed();
-    let stats = lock_clean(&stats).clone();
+    let stats = lock_clean(&shared.stats).clone();
+    let mut quarantined: Vec<String> = lock_clean(&shared.work)
+        .queue
+        .quarantined()
+        .iter()
+        .map(|q| q.url.clone())
+        .collect();
     quarantined.sort_unstable();
     let documents = stats.stored_pages;
     ThroughputReport {
@@ -647,183 +421,216 @@ pub fn run_pipeline(
     }
 }
 
-/// One worker: drain the level queue in batches through the pipeline,
-/// each batch under `catch_unwind`. A panic rolls back the batch's
-/// journaled duplicate fingerprints and staged store rows, then kills
-/// the worker with a [`PanicReport`] for the supervisor.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    world: &World,
-    store: &DocumentStore,
-    queue: &Mutex<PendingQueue>,
-    vocab: &SharedVocabulary,
-    judge: &dyn BatchJudge,
-    telemetry: &CrawlTelemetry,
-    opts: &PipelineOptions,
-    batch_size: usize,
-    dedup: &Mutex<Dedup>,
-    page_top_terms: &Mutex<FxHashMap<u64, Vec<TermId>>>,
-    stats: &Mutex<CrawlStats>,
-    started: &Instant,
-    injector: Option<&FaultInjector>,
-) -> WorkerExit {
-    let config = &opts.config;
-    let registry = ContentRegistry::new();
-    let mut loader =
-        BulkLoader::with_batch_size(store.clone(), opts.batch_size.max(1)).with_observer(
-            BulkLoaderObs::new(&telemetry.registry, telemetry.events.clone()),
+/// One worker's private pipeline state.
+struct Worker {
+    registry: ContentRegistry,
+    loader: BulkLoader,
+    stats: CrawlStats,
+    /// Work discovered for the next BFS level.
+    next_level: Vec<WorkItem>,
+}
+
+impl Shared<'_> {
+    /// One worker: lease batches until the level is drained, each under
+    /// `catch_unwind`. A committed batch is acked; a panicked one is
+    /// rolled back and its lease failed. Returns the next-level work the
+    /// worker discovered and the panics it caught.
+    fn run_worker(&self) -> (Vec<WorkItem>, Vec<String>) {
+        let batch_size = self.opts.batch_size.max(1);
+        let mut worker = Worker {
+            registry: ContentRegistry::new(),
+            loader: BulkLoader::with_batch_size(self.store.clone(), batch_size).with_observer(
+                BulkLoaderObs::new(&self.telemetry.registry, self.telemetry.events.clone()),
+            ),
+            stats: CrawlStats::default(),
+            next_level: Vec::new(),
+        };
+        let mut panics = Vec::new();
+        loop {
+            let Some(lease) = lock_clean(&self.work).lease(batch_size) else {
+                break;
+            };
+            // Dedup marks are journaled outside the unwind boundary so
+            // a panic can be rolled back.
+            let mut journal: Vec<DedupMark> = Vec::new();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                self.process_lease(&mut worker, &lease.items, &mut journal)
+            }));
+            match caught {
+                Ok(()) => {
+                    lock_clean(&self.work).queue.ack(lease.id);
+                }
+                Err(payload) => {
+                    // Roll back the half-processed batch: its
+                    // fingerprints must not make the retries look like
+                    // duplicates, and its staged rows must not leak
+                    // into the store.
+                    lock_clean(&self.dedup).unmark(&journal);
+                    worker.loader.discard_pending();
+                    worker.loader.flush();
+                    lock_clean(&self.work).queue.fail(lease.id);
+                    panics.push(panic_message(payload.as_ref()));
+                }
+            }
+        }
+        worker.loader.flush();
+        lock_clean(&self.stats).merge(&worker.stats);
+        (worker.next_level, panics)
+    }
+
+    /// Fetch, process and bulk-load one leased batch.
+    fn process_lease(
+        &self,
+        worker: &mut Worker,
+        items: &[QueuedItem],
+        journal: &mut Vec<DedupMark>,
+    ) {
+        let config = &self.opts.config;
+        let mut batch: Vec<FetchedDoc> = Vec::with_capacity(items.len());
+        let mut fetched: Vec<&WorkItem> = Vec::with_capacity(items.len());
+        for QueuedItem { item, .. } in items {
+            worker.stats.visited_urls += 1;
+            worker.stats.max_depth = worker.stats.max_depth.max(item.depth);
+            if let Some(injector) = &self.injector {
+                injector.maybe_fire(FaultStage::Fetch, &item.url);
+            }
+            let Some(response) = fetch_with_hygiene(
+                self.world,
+                config,
+                &self.dedup,
+                &mut worker.stats,
+                &item.url,
+                journal,
+            ) else {
+                continue;
+            };
+            let neighbor_terms = lock_clean(&self.page_top_terms)
+                .get(&item.src_page)
+                .cloned()
+                .unwrap_or_default();
+            batch.push(FetchedDoc {
+                response,
+                depth: item.depth,
+                src_topic: item.src_topic,
+                anchor_terms: item.anchor_terms.clone(),
+                neighbor_terms,
+                fetched_at: self.started.elapsed().as_millis() as u64,
+            });
+            fetched.push(item);
+        }
+        if batch.is_empty() {
+            return;
+        }
+
+        let mut interner = self.vocab;
+        let outcomes = process_batch(
+            self.world,
+            &worker.registry,
+            &mut interner,
+            &mut worker.loader,
+            batch,
+            |resp: &FetchResponse| {
+                lock_clean(&self.dedup).mark_response_journaled(
+                    resp.ip,
+                    path_of_url(&resp.url),
+                    resp.size,
+                    journal,
+                )
+            },
+            |docs, ctxs| {
+                if let Some(injector) = &self.injector {
+                    for ctx in ctxs {
+                        injector.maybe_fire(FaultStage::Classify, &ctx.url);
+                    }
+                }
+                self.judge.judge_batch(docs, ctxs)
+            },
+            &self.telemetry.textproc,
+            &self.telemetry.pipeline,
         );
-    let mut interner: &SharedVocabulary = vocab;
-    let mut local = CrawlStats::default();
-    let mut next_level: Vec<WorkItem> = Vec::new();
 
-    loop {
-        // One batch attempt: everything consumed from the level queue
-        // (`taken`) and every dedup fingerprint marked (`journal`) is
-        // tracked *outside* the unwind boundary so a panic can be
-        // rolled back.
-        let mut taken: Vec<WorkItem> = Vec::with_capacity(batch_size);
-        let mut journal: Vec<DedupMark> = Vec::new();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut batch: Vec<FetchedDoc> = Vec::with_capacity(batch_size);
-            let mut slots: Vec<usize> = Vec::with_capacity(batch_size);
-            while batch.len() < batch_size {
-                let Some(item) = lock_clean(queue).pop_front() else {
-                    break;
-                };
-                taken.push(item);
-                let idx = taken.len() - 1;
-                let item = &taken[idx];
-                local.visited_urls += 1;
-                local.max_depth = local.max_depth.max(item.depth);
-                if let Some(injector) = injector {
-                    injector.maybe_fire(FaultStage::Fetch, &item.url);
+        let stats = &mut worker.stats;
+        for (item, outcome) in fetched.into_iter().zip(outcomes) {
+            match outcome {
+                DocOutcome::MimeFiltered => stats.mime_rejected += 1,
+                DocOutcome::DuplicateContent => stats.duplicates += 1,
+                DocOutcome::Malformed { wasted_bytes } => {
+                    stats.mime_rejected += 1;
+                    stats.wasted_bytes += wasted_bytes;
                 }
-                let Some(response) =
-                    fetch_with_hygiene(world, config, dedup, &mut local, &item.url, &mut journal)
-                else {
-                    continue;
-                };
-                let neighbor_terms = lock_clean(page_top_terms)
-                    .get(&item.src_page)
-                    .cloned()
-                    .unwrap_or_default();
-                batch.push(FetchedDoc {
-                    response,
-                    depth: item.depth,
-                    src_topic: item.src_topic,
-                    anchor_terms: item.anchor_terms.clone(),
-                    neighbor_terms,
-                    fetched_at: started.elapsed().as_millis() as u64,
-                });
-                slots.push(idx);
-            }
-            if batch.is_empty() {
-                return;
-            }
-
-            let outcomes = process_batch(
-                world,
-                &registry,
-                &mut interner,
-                &mut loader,
-                batch,
-                |resp: &FetchResponse| {
-                    lock_clean(dedup).mark_response_journaled(
-                        resp.ip,
-                        path_of_url(&resp.url),
-                        resp.size,
-                        &mut journal,
-                    )
-                },
-                |docs, ctxs| {
-                    if let Some(injector) = injector {
-                        for ctx in ctxs {
-                            injector.maybe_fire(FaultStage::Classify, &ctx.url);
-                        }
+                DocOutcome::AlreadyStored { page_id, doc, .. } => {
+                    lock_clean(&self.page_top_terms).insert(page_id, top_terms(&doc));
+                    stats.duplicates += 1;
+                }
+                DocOutcome::Stored {
+                    page_id,
+                    doc,
+                    judgment,
+                } => {
+                    lock_clean(&self.page_top_terms).insert(page_id, top_terms(&doc));
+                    stats.stored_pages += 1;
+                    self.telemetry.stored.inc();
+                    if judgment.topic.is_some() {
+                        stats.positively_classified += 1;
                     }
-                    judge.judge_batch(docs, ctxs)
-                },
-                &telemetry.textproc,
-                &telemetry.pipeline,
-            );
-
-            for (idx, outcome) in slots.into_iter().zip(outcomes) {
-                let item = &taken[idx];
-                match outcome {
-                    DocOutcome::MimeFiltered => local.mime_rejected += 1,
-                    DocOutcome::DuplicateContent => local.duplicates += 1,
-                    DocOutcome::Malformed { wasted_bytes } => {
-                        local.mime_rejected += 1;
-                        local.wasted_bytes += wasted_bytes;
-                    }
-                    DocOutcome::AlreadyStored { page_id, doc, .. } => {
-                        lock_clean(page_top_terms).insert(page_id, top_terms(&doc));
-                        local.duplicates += 1;
-                    }
-                    DocOutcome::Stored {
-                        page_id,
-                        doc,
-                        judgment,
-                    } => {
-                        lock_clean(page_top_terms).insert(page_id, top_terms(&doc));
-                        local.stored_pages += 1;
-                        telemetry.stored.inc();
+                    if self.opts.follow_links {
+                        stats.extracted_links += doc.links.len() as u64;
+                        // Soft focus without tunnelling: only positively
+                        // classified documents propagate the crawl.
                         if judgment.topic.is_some() {
-                            local.positively_classified += 1;
-                        }
-                        if opts.follow_links {
-                            local.extracted_links += doc.links.len() as u64;
-                            // Soft focus without tunnelling: only positively
-                            // classified documents propagate the crawl.
-                            if judgment.topic.is_some() {
-                                enqueue_links(
-                                    config,
-                                    dedup,
-                                    &mut local,
-                                    &mut next_level,
-                                    item,
-                                    page_id,
-                                    judgment.topic,
-                                    &doc,
-                                );
-                            }
+                            self.enqueue_links(
+                                stats,
+                                &mut worker.next_level,
+                                item,
+                                page_id,
+                                judgment.topic,
+                                &doc,
+                            );
                         }
                     }
                 }
-            }
-        }));
-
-        match caught {
-            Ok(()) => {
-                if taken.is_empty() {
-                    break; // level queue drained
-                }
-            }
-            Err(payload) => {
-                // Roll back the half-processed batch: its fingerprints
-                // must not make requeued retries look like duplicates,
-                // and its staged rows must not leak into the store.
-                lock_clean(dedup).unmark(&journal);
-                loader.discard_pending();
-                loader.flush();
-                lock_clean(stats).merge(&local);
-                return WorkerExit {
-                    next_level,
-                    panic: Some(PanicReport {
-                        message: panic_message(payload.as_ref()),
-                        in_flight: taken,
-                    }),
-                };
             }
         }
     }
 
-    loader.flush();
-    lock_clean(stats).merge(&local);
-    WorkerExit {
-        next_level,
-        panic: None,
+    /// Queue the links of a positively classified document for the next
+    /// level, under the same hygiene rules the deterministic executor
+    /// applies at enqueue time.
+    fn enqueue_links(
+        &self,
+        stats: &mut CrawlStats,
+        next_level: &mut Vec<WorkItem>,
+        item: &WorkItem,
+        page_id: u64,
+        topic: Option<u32>,
+        doc: &bingo_textproc::AnalyzedDocument,
+    ) {
+        let child_depth = item.depth + 1;
+        let config = &self.opts.config;
+        if config.max_depth > 0 && child_depth > config.max_depth {
+            return;
+        }
+        for link in &doc.links {
+            let url = &link.href;
+            match admit_url(config, url) {
+                Ok(_) => {}
+                Err(UrlRejection::OutsideAllowed) => continue,
+                Err(_) => {
+                    stats.url_rejected += 1;
+                    continue;
+                }
+            }
+            if !lock_clean(&self.dedup).mark_url(url) {
+                continue; // already queued or visited
+            }
+            next_level.push(WorkItem {
+                url: url.clone(),
+                depth: child_depth,
+                src_topic: topic.or(item.src_topic),
+                src_page: page_id,
+                anchor_terms: link.anchor_terms.clone(),
+            });
+        }
     }
 }
 
@@ -844,25 +651,11 @@ fn fetch_with_hygiene(
     let mut redirects = 0u32;
     let mut attempt = 0u32;
     loop {
-        let Some(host) = host_of_url(&url).map(str::to_string) else {
+        let Ok(host) = admit_url(config, &url) else {
             stats.url_rejected += 1;
             return None;
         };
-        if url.len() > MAX_URL_LEN || host.len() > MAX_HOSTNAME_LEN {
-            stats.url_rejected += 1;
-            return None;
-        }
-        if config.locked_hosts.contains(&host) {
-            stats.url_rejected += 1;
-            return None;
-        }
-        if let Some(allowed) = &config.allowed_hosts {
-            if !allowed.contains(&host) {
-                stats.url_rejected += 1;
-                return None;
-            }
-        }
-        if world.dns_lookup(&host, attempt).is_err() {
+        if world.dns_lookup(host, attempt).is_err() {
             stats.fetch_errors += 1;
             if attempt < config.max_retries {
                 attempt += 1;
@@ -903,56 +696,6 @@ fn fetch_with_hygiene(
                 return None;
             }
         }
-    }
-}
-
-/// Queue the links of a positively classified document for the next
-/// level, under the same hygiene rules the deterministic executor
-/// applies at enqueue time.
-#[allow(clippy::too_many_arguments)]
-fn enqueue_links(
-    config: &CrawlConfig,
-    dedup: &Mutex<Dedup>,
-    stats: &mut CrawlStats,
-    next_level: &mut Vec<WorkItem>,
-    item: &WorkItem,
-    page_id: u64,
-    topic: Option<u32>,
-    doc: &bingo_textproc::AnalyzedDocument,
-) {
-    let child_depth = item.depth + 1;
-    if config.max_depth > 0 && child_depth > config.max_depth {
-        return;
-    }
-    for link in &doc.links {
-        let url = &link.href;
-        if url.len() > MAX_URL_LEN {
-            stats.url_rejected += 1;
-            continue;
-        }
-        let Some(link_host) = host_of_url(url) else {
-            stats.url_rejected += 1;
-            continue;
-        };
-        if link_host.len() > MAX_HOSTNAME_LEN || config.locked_hosts.contains(link_host) {
-            stats.url_rejected += 1;
-            continue;
-        }
-        if let Some(allowed) = &config.allowed_hosts {
-            if !allowed.contains(link_host) {
-                continue;
-            }
-        }
-        if !lock_clean(dedup).mark_url(url) {
-            continue; // already queued or visited
-        }
-        next_level.push(WorkItem {
-            url: url.clone(),
-            depth: child_depth,
-            src_topic: topic.or(item.src_topic),
-            src_page: page_id,
-            anchor_terms: link.anchor_terms.clone(),
-        });
     }
 }
 
@@ -1117,120 +860,97 @@ mod tests {
         let snap = telemetry.registry.snapshot();
         assert!(snap.counters["crawl.worker.panics"] > 0);
         assert!(snap.counters["crawl.worker.requeued"] > 0);
-        assert!(snap.counters["crawl.worker.restarts"] > 0);
         assert_eq!(snap.counters["crawl.worker.quarantined"], 0);
     }
 
     #[test]
     fn poisoned_documents_are_quarantined_not_retried_forever() {
-        let world = Arc::new(WorldConfig::small_test(41).build());
-        let urls = unique_healthy_urls(&world);
-        let fault = FaultPlan {
-            seed: 13,
-            one_in: 5,
-            panics_per_url: u32::MAX, // a deterministic crasher
-            stage: FaultStage::Classify,
-        };
-        let poisoned: Vec<String> = urls.iter().filter(|u| fault.selects(u)).cloned().collect();
-        assert!(!poisoned.is_empty(), "plan must poison at least one URL");
-        let store = DocumentStore::new();
-        let vocab = SharedVocabulary::new();
-        let telemetry = CrawlTelemetry::default();
-        let report = run_pipeline(
-            Arc::clone(&world),
-            store.clone(),
-            urls.iter().map(|u| (u.clone(), None)).collect(),
-            &vocab,
-            &accept_all(),
-            &telemetry,
-            &PipelineOptions::flat(4, 8).with_fault(fault),
-        );
-        let mut expected = poisoned.clone();
-        expected.sort_unstable();
-        assert_eq!(report.quarantined, expected, "exactly the poisoned docs");
-        assert_eq!(
-            report.documents as usize,
-            urls.len() - poisoned.len(),
-            "everything else stored"
-        );
-        let stored_urls: std::collections::BTreeSet<String> =
-            store.all_documents().into_iter().map(|d| d.url).collect();
-        for url in &poisoned {
-            assert!(!stored_urls.contains(url), "quarantined doc in store");
-        }
-        let snap = telemetry.registry.snapshot();
-        assert_eq!(
-            snap.counters["crawl.worker.quarantined"],
-            poisoned.len() as u64
-        );
-    }
-
-    #[test]
-    fn spilling_work_queue_matches_resident_run() {
-        let spill_dir = std::env::temp_dir().join("bingo-threaded-workspill");
-        std::fs::remove_dir_all(&spill_dir).ok();
-        // Plant stale debris from a "previous run": swept at start.
-        std::fs::create_dir_all(&spill_dir).unwrap();
-        std::fs::write(spill_dir.join("work-000099.spill"), b"stale").unwrap();
-
-        let run = |config: CrawlConfig| {
-            let world = Arc::new(WorldConfig::small_test(43).build());
+        // A Fetch-stage crasher fails its lease before the rest of the
+        // batch is fetched, charging batch-mates that never ran; a
+        // Classify-stage crasher fails it after the whole batch was
+        // analyzed. Either way only the crashers are quarantined.
+        for stage in [FaultStage::Classify, FaultStage::Fetch] {
+            let world = Arc::new(WorldConfig::small_test(41).build());
+            let urls = unique_healthy_urls(&world);
+            let fault = FaultPlan {
+                seed: 13,
+                one_in: 5,
+                panics_per_url: u32::MAX, // a deterministic crasher
+                stage,
+            };
+            let poisoned: Vec<String> = urls.iter().filter(|u| fault.selects(u)).cloned().collect();
+            assert!(!poisoned.is_empty(), "plan must poison at least one URL");
             let store = DocumentStore::new();
             let vocab = SharedVocabulary::new();
             let telemetry = CrawlTelemetry::default();
             let report = run_pipeline(
                 Arc::clone(&world),
                 store.clone(),
-                vec![(world.url_of(0), Some(0))],
+                urls.iter().map(|u| (u.clone(), None)).collect(),
                 &vocab,
                 &accept_all(),
                 &telemetry,
-                &PipelineOptions::focused(config, 1, 4),
+                &PipelineOptions::flat(4, 8).with_fault(fault),
             );
-            let mut urls: Vec<String> = store.all_documents().into_iter().map(|d| d.url).collect();
-            urls.sort_unstable();
-            (report, urls, telemetry)
-        };
+            let mut expected = poisoned.clone();
+            expected.sort_unstable();
+            assert_eq!(
+                report.quarantined, expected,
+                "{stage:?}: exactly the poisoned docs"
+            );
+            assert_eq!(
+                report.documents as usize,
+                urls.len() - poisoned.len(),
+                "{stage:?}: everything else stored"
+            );
+            let stored_urls: std::collections::BTreeSet<String> =
+                store.all_documents().into_iter().map(|d| d.url).collect();
+            for url in &poisoned {
+                assert!(!stored_urls.contains(url), "quarantined doc in store");
+            }
+            let snap = telemetry.registry.snapshot();
+            assert_eq!(
+                snap.counters["crawl.worker.quarantined"],
+                poisoned.len() as u64
+            );
+        }
+    }
 
-        let base = CrawlConfig {
-            max_depth: 2,
+    #[test]
+    fn stale_spill_files_are_swept_before_the_run() {
+        let dir = std::env::temp_dir().join("bingo-threaded-stale-spill");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let stale = dir.join("slot-99.spill");
+        std::fs::write(&stale, b"stale").unwrap();
+        let world = Arc::new(WorldConfig::small_test(42).build());
+        let config = CrawlConfig {
+            frontier_spill_dir: Some(dir.clone()),
             ..CrawlConfig::default()
         };
-        let (resident_report, resident_urls, _) = run(base.clone());
-        let spilling = CrawlConfig {
-            frontier_spill_dir: Some(spill_dir.clone()),
-            work_queue_hot_cap: 2,
-            ..base
-        };
-        let (spill_report, spill_urls, telemetry) = run(spilling);
-
-        assert_eq!(spill_report.documents, resident_report.documents);
-        assert_eq!(spill_urls, resident_urls, "stored URL sets diverged");
-        let snap = telemetry.registry.snapshot();
-        assert!(
-            snap.counters["crawl.work_queue.spill_batches"] > 0,
-            "hot cap 2 must force overflow spills"
+        let telemetry = CrawlTelemetry::default();
+        run_pipeline(
+            Arc::clone(&world),
+            DocumentStore::new(),
+            vec![(world.url_of(1), None)],
+            &SharedVocabulary::new(),
+            &accept_all(),
+            &telemetry,
+            &PipelineOptions::focused(config, 1, 4),
         );
-        assert!(snap.counters["crawl.spill.reaped"] >= 1, "stale file swept");
-        // All spill batches were consumed and deleted.
-        let leftovers: Vec<_> = std::fs::read_dir(&spill_dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "work spill files leaked: {leftovers:?}"
+        assert!(!stale.exists(), "stale spill file swept");
+        assert_eq!(
+            telemetry.registry.snapshot().counters["crawl.spill.reaped"],
+            1
         );
-        std::fs::remove_dir_all(&spill_dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn panic_telemetry_is_deterministic_single_threaded() {
         // With one worker the batch composition is deterministic, so
         // two identical fault-injected runs must emit byte-identical
-        // telemetry — panic, requeue, quarantine and restart events
-        // included.
+        // telemetry — panic, requeue and quarantine events included.
         let run = || {
             let world = Arc::new(WorldConfig::small_test(44).build());
             let urls = unique_healthy_urls(&world);

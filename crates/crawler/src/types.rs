@@ -111,11 +111,6 @@ pub struct CrawlConfig {
     /// crawls (links to long-stored pages then enqueue without
     /// neighbour terms, exactly like links from pre-cache runs).
     pub page_terms_cap: usize,
-    /// Threaded-executor work-queue items kept resident per BFS level;
-    /// overflow batches spill to `work-*.spill` files under
-    /// `frontier_spill_dir`, read back in order. `0` (default) keeps
-    /// every level fully resident.
-    pub work_queue_hot_cap: usize,
     /// Authority-blended frontier ordering: maintain a host-level
     /// webgraph online and blend normalized host authority into link
     /// priorities (`α·confidence + β·authority`). Disabled by default;
@@ -150,7 +145,6 @@ impl Default for CrawlConfig {
             dedup_spill_dir: None,
             dedup_hot_cap: 1 << 20,
             page_terms_cap: 0,
-            work_queue_hot_cap: 0,
             authority: AuthorityConfig::default(),
         }
     }
@@ -168,6 +162,52 @@ impl CrawlConfig {
             allowed_hosts: None,
             ..self.clone()
         }
+    }
+}
+
+/// Why [`admit_url`] refused a URL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UrlRejection {
+    /// No parseable host.
+    Malformed,
+    /// URL longer than [`MAX_URL_LEN`] or host longer than
+    /// [`MAX_HOSTNAME_LEN`].
+    TooLong,
+    /// Host on the locked list.
+    LockedHost,
+    /// Host outside the configured allowed domains.
+    OutsideAllowed,
+}
+
+impl UrlRejection {
+    /// The skip reason reported for this rejection.
+    pub fn reason(self) -> &'static str {
+        match self {
+            UrlRejection::Malformed => "malformed url",
+            UrlRejection::TooLong => "url length guard",
+            UrlRejection::LockedHost => "locked host",
+            UrlRejection::OutsideAllowed => "outside allowed domains",
+        }
+    }
+}
+
+/// URL hygiene (Section 4.2): a URL is admitted when it has a host,
+/// both fit the length limits, and the host is neither locked nor
+/// outside the allowed domains. Returns the URL's host. Both executors
+/// apply it before fetching and to every extracted link; a link outside
+/// the allowed domains is out of scope rather than malformed, so link
+/// filters drop it without counting it as `url_rejected`.
+pub fn admit_url<'u>(config: &CrawlConfig, url: &'u str) -> Result<&'u str, UrlRejection> {
+    let host = bingo_webworld::fetch::host_of_url(url).ok_or(UrlRejection::Malformed)?;
+    if url.len() > MAX_URL_LEN || host.len() > MAX_HOSTNAME_LEN {
+        return Err(UrlRejection::TooLong);
+    }
+    if config.locked_hosts.contains(host) {
+        return Err(UrlRejection::LockedHost);
+    }
+    match &config.allowed_hosts {
+        Some(allowed) if !allowed.contains(host) => Err(UrlRejection::OutsideAllowed),
+        _ => Ok(host),
     }
 }
 
@@ -343,6 +383,32 @@ mod tests {
         assert_eq!(h.max_depth, 0);
         assert!(h.allowed_hosts.is_none());
         assert_eq!(h.threads, c.threads);
+    }
+
+    #[test]
+    fn admit_url_applies_hygiene_in_order() {
+        let config = CrawlConfig {
+            allowed_hosts: Some(
+                ["a.edu".to_string(), "locked.edu".to_string()]
+                    .into_iter()
+                    .collect(),
+            ),
+            locked_hosts: ["locked.edu".to_string()].into_iter().collect(),
+            ..CrawlConfig::default()
+        };
+        assert_eq!(admit_url(&config, "http://a.edu/x"), Ok("a.edu"));
+        assert_eq!(admit_url(&config, "no host"), Err(UrlRejection::Malformed));
+        let long = format!("http://a.edu/{}", "x".repeat(MAX_URL_LEN));
+        assert_eq!(admit_url(&config, &long), Err(UrlRejection::TooLong));
+        assert_eq!(
+            admit_url(&config, "http://locked.edu/"),
+            Err(UrlRejection::LockedHost)
+        );
+        assert_eq!(
+            admit_url(&config, "http://b.edu/"),
+            Err(UrlRejection::OutsideAllowed)
+        );
+        assert_eq!(UrlRejection::TooLong.reason(), "url length guard");
     }
 
     #[test]

@@ -303,6 +303,7 @@ impl Coordinator {
                 url: url.to_string(),
                 depth: 0,
                 src_topic: topic,
+                ..Default::default()
             },
         );
     }

@@ -39,10 +39,12 @@
 //! "Distributed crawl & node supervision".
 
 pub mod coordinator;
-pub mod lease;
 pub mod node;
 pub mod telemetry;
 
+/// The lease queue lives in `bingo-crawler`, shared with the threaded
+/// executor; re-exported so `bingo_dist::lease` paths keep resolving.
+pub use bingo_crawler::lease;
 pub use coordinator::{Coordinator, DistConfig, DistStats};
 pub use lease::{LeaseQueue, LeaseRecord, LeaseStats, QuarantinedItem, QueuedItem, WorkItem};
 pub use node::{scratch_dir, WorkerNode};

@@ -167,6 +167,7 @@ impl WorkerNode {
                         url: location,
                         depth: item.depth,
                         src_topic: item.src_topic,
+                        ..Default::default()
                     });
                 }
                 FetchOutcome::Err { latency_ms, .. } => {
@@ -208,6 +209,7 @@ impl WorkerNode {
                     url: link.href.clone(),
                     depth: item.depth + 1,
                     src_topic: judgment.topic.or(item.src_topic),
+                    ..Default::default()
                 });
             }
         }
@@ -281,6 +283,7 @@ mod tests {
                 url: world.url_of(id),
                 depth: 0,
                 src_topic: None,
+                ..Default::default()
             })
             .collect()
     }

@@ -158,6 +158,7 @@ mod tests {
                 url: "http://a/1".into(),
                 depth: 0,
                 src_topic: None,
+                ..Default::default()
             },
         );
         let lease = q.lease(0, 4, 0).unwrap();

@@ -85,6 +85,7 @@ fn lease_journal_crash_at_every_byte_keeps_the_old_journal() {
         url: url.into(),
         depth: 0,
         src_topic: Some(0),
+        ..Default::default()
     };
     let mut queue = LeaseQueue::new(2, 3, 1_000);
     for i in 0..8 {

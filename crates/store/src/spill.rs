@@ -48,10 +48,11 @@ const RECORD_BYTES: usize = 16;
 /// block of at most this many records.
 const SAMPLE_EVERY: usize = 64;
 
-/// File-name prefixes of every spill-file family the system writes.
-/// The stale-file sweep on recovery reaps all of them — frontier slots,
-/// dedup shards, vocabulary string logs, threaded work-queue overflow,
-/// distributed lease journals, and per-node scratch directories alike
+/// File-name prefixes of every spill-file family the system writes or
+/// once wrote. The stale-file sweep on recovery reaps all of them —
+/// frontier slots, dedup shards, vocabulary string logs, distributed
+/// lease journals, per-node scratch directories, and the `work-`
+/// overflow files of the retired spillable threaded work queue alike
 /// (see [`reap_stale_spill_files`]).
 pub const SPILL_FILE_PREFIXES: &[&str] = &["slot-", "dedup-", "vocab-", "work-", "lease-", "node-"];
 

@@ -2,7 +2,7 @@
 # CI gate: format, build, test, lint, crash matrix, bench regression.
 #
 # The workspace is fully self-contained: every external crate (rand,
-# serde, proptest, criterion, ...) is a vendored path dependency under
+# serde, proptest, crossbeam, ...) is a vendored path dependency under
 # vendor/, so all commands run offline and reproduce on a network-less
 # machine. No registry access, no lockfile churn.
 #
@@ -45,6 +45,11 @@
 # coordinator/worker crawl through seeded node kills plus a process
 # kill, gating exact calm-set convergence, kill/requeue coverage, and
 # recovery wall time. Use `-- --only crawl,serve` to run a subset.
+# Each BENCH_<scenario>.json holds a smoke and a full section, each with
+# the calibration of the machine that recorded it; `bench_gate --update`
+# (full) and `--update --smoke` re-record only their own section.
+# BENCH_scale10m.json has no full section yet (the 10M-page run takes
+# hours), so the nightly scale10m job fails until one is recorded.
 #
 # BINGO_CRASH_SEEDS picks the seed matrix for the crash-recovery sweep
 # (every byte budget of a checkpoint write, a store segment seal, every

@@ -4,8 +4,9 @@
 //! cargo run --release -p bingo-bench --bin bench_gate [-- FLAGS]
 //!
 //!   --smoke          run the reduced smoke sizes (fast CI runs)
-//!   --update         re-record the BENCH_<scenario>.json baselines
-//!                    (runs both smoke and full sizes)
+//!   --update         re-record the selected mode's section (smoke with
+//!                    --smoke, else full) of each BENCH_<scenario>.json,
+//!                    keeping the file's other section as it was
 //!   --only LIST      run a subset of scenarios: a comma-separated list
 //!                    of (crawl | classify | pipeline | recovery |
 //!                    serve | scale | scale10m | dist), e.g. `--only
@@ -17,18 +18,20 @@
 //! Each scenario runs twice; the deterministic telemetry (metrics
 //! snapshot + event log) of the two runs must match byte for byte.
 //! Reports are then compared against the checked-in baselines with
-//! per-metric tolerances. Exit code 0 = pass, 1 = regression or
+//! per-metric tolerances; each baseline section carries the CPU
+//! calibration of the machine that recorded it, which scales the wall
+//! metrics. Every report also records host facts (cores, per-leg
+//! threads), ungated. Exit code 0 = pass, 1 = regression or
 //! determinism failure, 2 = usage/setup error.
 
 use bingo_bench::gate::{
     baseline_file, calibrate_cpu_ms, check_determinism, default_out_dir, diff_reports,
-    load_baseline, markdown_diff_table, run_classify_scenario, run_crawl_scenario,
-    run_dist_scenario, run_pipeline_scenario, run_recovery_scenario, run_scale10m_scenario,
-    run_scale_scenario, run_serve_scenario, write_run_artifacts, GateMode, MetricDiff, MetricSpec,
-    ScenarioRun, CLASSIFY_SPECS, CRAWL_SPECS, DIST_SPECS, PIPELINE_SPECS, RECOVERY_SPECS,
-    SCALE10M_SPECS, SCALE_SPECS, SERVE_SPECS,
+    load_baseline, markdown_diff_table, merge_baseline_section, run_classify_scenario,
+    run_crawl_scenario, run_dist_scenario, run_pipeline_scenario, run_recovery_scenario,
+    run_scale10m_scenario, run_scale_scenario, run_serve_scenario, write_run_artifacts, GateMode,
+    MetricDiff, MetricSpec, ScenarioRun, CLASSIFY_SPECS, CRAWL_SPECS, DIST_SPECS, PIPELINE_SPECS,
+    RECOVERY_SPECS, SCALE10M_SPECS, SCALE_SPECS, SERVE_SPECS,
 };
-use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
 
 struct Scenario {
@@ -153,12 +156,10 @@ fn main() {
 
     let calib_ms = calibrate_cpu_ms();
     eprintln!("cpu calibration: {calib_ms:.1} ms");
-    let modes: &[GateMode] = if update {
-        &[GateMode::Smoke, GateMode::Full]
-    } else if smoke {
-        &[GateMode::Smoke]
+    let mode = if smoke {
+        GateMode::Smoke
     } else {
-        &[GateMode::Full]
+        GateMode::Full
     };
 
     let selected: Vec<&Scenario> = SCENARIOS
@@ -173,51 +174,38 @@ fn main() {
     let mut diffs: Vec<MetricDiff> = Vec::new();
     let mut failed_runs: Vec<String> = Vec::new();
     for scenario in &selected {
-        let mut sections: Vec<(GateMode, Value)> = Vec::new();
-        for &mode in modes {
+        let label = format!("{}.{}", scenario.name, mode.key());
+        eprintln!("running {label} (twice, for determinism) ...");
+        let started = std::time::Instant::now();
+        let first = (scenario.run)(mode);
+        let second = (scenario.run)(mode);
+        eprintln!(
+            "  {label}: {:.1}s wall for both runs",
+            started.elapsed().as_secs_f64()
+        );
+        let determinism = check_determinism(&label, &first.evidence, &second.evidence);
+        if !determinism.is_empty() {
+            failed_runs.push(label.clone());
+        }
+        failures.extend(determinism);
+        if let Err(e) = write_run_artifacts(&out_dir, scenario.name, mode, &first) {
             eprintln!(
-                "running {}.{} (twice, for determinism) ...",
-                scenario.name,
-                mode.key()
+                "warning: could not write artifacts to {}: {e}",
+                out_dir.display()
             );
-            let started = std::time::Instant::now();
-            let first = (scenario.run)(mode);
-            let second = (scenario.run)(mode);
-            eprintln!(
-                "  {}.{}: {:.1}s wall for both runs",
-                scenario.name,
-                mode.key(),
-                started.elapsed().as_secs_f64()
-            );
-            let label = format!("{}.{}", scenario.name, mode.key());
-            let determinism = check_determinism(&label, &first.evidence, &second.evidence);
-            if !determinism.is_empty() {
-                failed_runs.push(label);
-            }
-            failures.extend(determinism);
-            if let Err(e) = write_run_artifacts(&out_dir, scenario.name, mode, &first) {
-                eprintln!(
-                    "warning: could not write artifacts to {}: {e}",
-                    out_dir.display()
-                );
-            }
-            sections.push((mode, first.report));
         }
 
+        let baseline = load_baseline(Path::new("."), scenario.name);
+        let path = baseline_file(scenario.name);
         if update {
-            let mut entries = vec![("calibration_ms".to_string(), json!(calib_ms))];
-            for (mode, report) in &sections {
-                entries.push((mode.key().to_string(), report.clone()));
-            }
-            let doc = Value::Object(entries);
-            let path = baseline_file(scenario.name);
+            let doc = merge_baseline_section(baseline, mode, first.report, calib_ms);
             match serde_json::to_string_pretty(&doc) {
                 Ok(text) => {
                     if let Err(e) = std::fs::write(&path, text + "\n") {
                         eprintln!("error: could not write baseline {path}: {e}");
                         std::process::exit(2);
                     }
-                    eprintln!("baseline recorded: {path}");
+                    eprintln!("baseline recorded: {path} ({})", mode.key());
                 }
                 Err(e) => {
                     eprintln!("error: could not serialize baseline {path}: {e}");
@@ -227,37 +215,29 @@ fn main() {
             continue;
         }
 
-        let Some(baseline) = load_baseline(Path::new("."), scenario.name) else {
+        let recorded = baseline
+            .as_ref()
+            .and_then(|b| b.get(mode.key()))
+            .and_then(|section| Some((section, section.get("calibration_ms")?.as_f64()?)));
+        let Some((section, base_calib)) = recorded else {
             failures.push(format!(
-                "{}: baseline {} missing or unreadable (record with --update)",
-                scenario.name,
-                baseline_file(scenario.name)
+                "{label}: {path} has no \"{}\" section with a calibration_ms (record it with \
+                 --update{} --only {})",
+                mode.key(),
+                if smoke { " --smoke" } else { "" },
+                scenario.name
             ));
+            failed_runs.push(label);
             continue;
         };
-        let base_calib = baseline
-            .get("calibration_ms")
-            .and_then(Value::as_f64)
-            .unwrap_or(calib_ms);
         // < 1 means this machine is slower than the baseline recorder.
         let calib_scale = (base_calib / calib_ms).clamp(0.05, 20.0);
-        for (mode, report) in &sections {
-            let label = format!("{}.{}", scenario.name, mode.key());
-            let Some(section) = baseline.get(mode.key()) else {
-                failures.push(format!(
-                    "{label}: baseline has no \"{}\" section (re-record with --update)",
-                    mode.key()
-                ));
-                failed_runs.push(label);
-                continue;
-            };
-            let run_diffs = diff_reports(&label, section, report, scenario.specs, calib_scale);
-            if run_diffs.iter().any(|d| !d.ok) {
-                failed_runs.push(label);
-            }
-            failures.extend(run_diffs.iter().filter_map(MetricDiff::failure_line));
-            diffs.extend(run_diffs);
+        let run_diffs = diff_reports(&label, section, &first.report, scenario.specs, calib_scale);
+        if run_diffs.iter().any(|d| !d.ok) {
+            failed_runs.push(label);
         }
+        failures.extend(run_diffs.iter().filter_map(MetricDiff::failure_line));
+        diffs.extend(run_diffs);
     }
 
     if update {

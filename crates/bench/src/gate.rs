@@ -143,6 +143,22 @@ pub fn calibrate_cpu_ms() -> f64 {
     timer.elapsed_us() as f64 / 1000.0
 }
 
+/// Host facts for a scenario report: the machine's available
+/// parallelism and, per leg, its configured thread count next to the
+/// effective count `min(threads, cores)` that can run at once. No spec
+/// gates them; they let reports from different machines be compared.
+pub fn host_facts(legs: &[(&str, usize)]) -> Value {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let legs = legs
+        .iter()
+        .map(|&(leg, threads)| {
+            let facts = json!({"threads": threads, "effective_threads": threads.min(cores)});
+            (leg.to_string(), facts)
+        })
+        .collect();
+    json!({"available_parallelism": cores, "legs": Value::Object(legs)})
+}
+
 fn held_out(world: &World, topic: u32, skip: usize, take: usize) -> Vec<u64> {
     (0..world.page_count() as u64)
         .filter(|&id| {
@@ -240,6 +256,7 @@ pub fn run_crawl_scenario(mode: GateMode) -> ScenarioRun {
         "urls_per_virtual_sec": stats.visited_urls as f64 * 1000.0 / virtual_ms as f64,
         "urls_per_wall_sec": stats.visited_urls as f64 * 1000.0 / wall_ms,
         "wall_ms": wall_ms,
+        "host": host_facts(&[("crawl", 1)]),
         "stages": {
             "learning": { "virtual_ms": learning_ms, "wall_ms": learn_wall_ms },
             "harvest": {
@@ -336,6 +353,7 @@ pub fn run_classify_scenario(mode: GateMode) -> ScenarioRun {
         "macro_f1": macro_f1,
         "per_class_f1": f1s,
         "docs_per_wall_sec": evaluated as f64 * 1000.0 / classify_wall_ms,
+        "host": host_facts(&[("classify", 1)]),
         "stages": {
             "train": { "wall_ms": train_wall_ms },
             "classify": { "wall_ms": classify_wall_ms },
@@ -457,6 +475,7 @@ pub fn run_pipeline_scenario(mode: GateMode) -> ScenarioRun {
         "mt_documents": mt_report.documents,
         "docs_per_minute_1t": det_report.docs_per_minute,
         "docs_per_minute": mt_report.docs_per_minute,
+        "host": host_facts(&[("single_thread", 1), ("multi_thread", threads)]),
         "stages": {
             "single_thread": { "wall_ms": single_wall_ms },
             "multi_thread": { "wall_ms": mt_wall_ms },
@@ -564,6 +583,7 @@ pub fn run_recovery_scenario(mode: GateMode) -> ScenarioRun {
         "ratio_drift": ratio_drift,
         "recovery_wall_ms": recovery_wall_ms,
         "wall_ms": total_wall.elapsed_us() as f64 / 1000.0,
+        "host": host_facts(&[("recovery", 1)]),
     });
     ScenarioRun {
         report,
@@ -757,6 +777,11 @@ pub fn run_serve_scenario(mode: GateMode) -> ScenarioRun {
             "p90_us": load.p90_us.max(1),
             "p99_us": load.p99_us.max(1),
             "wall_ms": total_wall.elapsed_us() as f64 / 1000.0,
+            "host": host_facts(&[
+                ("deterministic", 1),
+                ("concurrent_crawl", crawl_threads),
+                ("concurrent_serve", serve_threads),
+            ]),
             "stages": {
                 "deterministic": { "wall_ms": det_wall_ms },
                 "concurrent": { "wall_ms": mt_wall_ms },
@@ -1029,6 +1054,7 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
         "rss_budget_mb": params.rss_budget_mb,
         "rss_within_budget": u64::from(rss_growth_mb <= params.rss_budget_mb),
         "wall_ms": wall_ms,
+        "host": host_facts(&[("crawl", 1)]),
         "stages": {
             "crawl": { "wall_ms": crawl_wall_ms },
             "final_seal": { "wall_ms": seal_wall_ms },
@@ -1186,6 +1212,7 @@ pub fn run_dist_scenario(mode: GateMode) -> ScenarioRun {
         "snapshots": final_stats.snapshots,
         "recovery_wall_ms": recovery_wall_ms,
         "wall_ms": wall_ms,
+        "host": host_facts(&[("dist", 1)]),
         "stages": {
             "calm": { "wall_ms": calm_wall_ms },
             "chaos": { "wall_ms": chaos_wall_ms },
@@ -1739,17 +1766,38 @@ pub fn load_baseline(dir: &Path, scenario: &str) -> Option<Value> {
     serde_json::from_str(&text).ok()
 }
 
+/// Record `report` as the `mode` section of a baseline document,
+/// stamped with the recorder's `calibration_ms`. Every other section of
+/// `existing` (the previously recorded file, if any) is kept as it was,
+/// so smoke and full baselines can be re-recorded independently.
+pub fn merge_baseline_section(
+    existing: Option<Value>,
+    mode: GateMode,
+    report: Value,
+    calibration_ms: f64,
+) -> Value {
+    let mut section = vec![("calibration_ms".to_string(), json!(calibration_ms))];
+    if let Value::Object(entries) = report {
+        section.extend(entries);
+    }
+    let mut sections = match existing {
+        Some(Value::Object(entries)) => entries,
+        _ => Vec::new(),
+    };
+    let section = Value::Object(section);
+    match sections.iter_mut().find(|(key, _)| key == mode.key()) {
+        Some((_, slot)) => *slot = section,
+        None => sections.push((mode.key().to_string(), section)),
+    }
+    Value::Object(sections)
+}
+
 /// Metric-name prefixes of the spill/compaction telemetry that gets its
 /// own `<scenario>.<mode>.spill.json` artifact next to the full
-/// snapshot — the memory-bounding evidence (dedup shards, vocabulary
-/// log, stale-file sweeps, segment compaction) in
+/// snapshot — the memory-bounding evidence (dedup shards, stale-file
+/// sweeps, segment compaction) in
 /// one small file instead of buried in the complete metrics dump.
-const SPILL_METRIC_PREFIXES: &[&str] = &[
-    "crawl.dedup.",
-    "crawl.spill.",
-    "vocab.spill.",
-    "store.compaction.",
-];
+const SPILL_METRIC_PREFIXES: &[&str] = &["crawl.dedup.", "crawl.spill.", "store.compaction."];
 
 /// Extract the spill/compaction counters and gauges from a rendered
 /// metrics snapshot. Returns an object with `counters` and `gauges`
@@ -1945,6 +1993,34 @@ mod tests {
     #[test]
     fn calibration_is_positive() {
         assert!(calibrate_cpu_ms() > 0.0);
+    }
+
+    #[test]
+    fn update_replaces_only_its_own_section() {
+        let smoke_only = merge_baseline_section(None, GateMode::Smoke, json!({"x": 1}), 20.0);
+        assert_eq!(
+            smoke_only.to_string(),
+            r#"{"smoke":{"calibration_ms":20.0,"x":1}}"#
+        );
+        let both = merge_baseline_section(Some(smoke_only), GateMode::Full, json!({"x": 2}), 30.0);
+        let both = merge_baseline_section(Some(both), GateMode::Smoke, json!({"x": 3}), 40.0);
+        assert_eq!(
+            both.to_string(),
+            r#"{"smoke":{"calibration_ms":40.0,"x":3},"full":{"calibration_ms":30.0,"x":2}}"#
+        );
+    }
+
+    #[test]
+    fn host_facts_cap_threads_at_cores() {
+        let facts = host_facts(&[("single", 1), ("many", 4096)]);
+        let cores = json_path(&facts, "available_parallelism")
+            .and_then(Value::as_u64)
+            .unwrap();
+        assert!(cores >= 1);
+        let leg = |path| json_path(&facts, path).and_then(Value::as_u64).unwrap();
+        assert_eq!(leg("legs.single.effective_threads"), 1);
+        assert_eq!(leg("legs.many.threads"), 4096);
+        assert_eq!(leg("legs.many.effective_threads"), cores);
     }
 
     /// End-to-end: the smoke pipeline scenario runs, its single-thread

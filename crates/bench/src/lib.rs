@@ -1,6 +1,6 @@
 //! Experiment harnesses regenerating every table and figure of the
-//! paper's evaluation (Section 5), plus shared scaffolding for the
-//! Criterion microbenches.
+//! paper's evaluation (Section 5) and the quantified claims of
+//! Sections 2.3, 3.5 and 4.1, plus the `bench_gate` regression gate.
 //!
 //! | experiment | binary | paper artifact |
 //! |---|---|---|
@@ -10,6 +10,7 @@
 //! | focus ablations | `exp_ablation` | §3.1-3.3 design lessons |
 //! | authority blend | `exp_authority` | host-graph authority-blended frontier ordering (extension; baseline vs blended) |
 //! | fault scenarios | `exp_faults` | §4.2 failure handling: chaos resilience + checkpoint/resume convergence |
+//! | storage throughput | `exp_storage` | §4.1 row-at-a-time vs per-thread bulk loading, 8 writer threads |
 //!
 //! Scaling: the synthetic web is orders of magnitude smaller than the
 //! 2002 Web and runs on a virtual clock (host latencies approximate web
@@ -25,6 +26,7 @@ pub mod gate;
 pub mod meta_exp;
 pub mod portal;
 pub mod report;
+pub mod storage_exp;
 
 use bingo_core::{BingoEngine, EngineConfig, TopicId, TopicTree};
 use bingo_webworld::{PageKind, World};

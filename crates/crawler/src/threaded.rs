@@ -317,7 +317,6 @@ pub fn run_pipeline(
         injector: opts.fault.clone().map(FaultInjector::new),
     };
     let mut last_dedup = crate::dedup::DedupStats::default();
-    let mut last_vocab = bingo_textproc::VocabSpillStats::default();
     let mut last_lease = LeaseStats::default();
 
     // One thread scope per pass; a pass normally drains one BFS level.
@@ -390,15 +389,11 @@ pub fn run_pipeline(
         }
         last_lease = lease_stats;
         drop(work);
-        // Poll the spilling tiers once per pass so their gauges and
-        // counters track the crawl as it runs.
+        // Poll the spilling dedup filter once per pass so its gauges
+        // and counters track the crawl as it runs.
         telemetry
             .dedup
             .record(&lock_clean(&shared.dedup).stats(), &mut last_dedup);
-        telemetry
-            .textproc
-            .vocab_spill
-            .record(&vocab.spill_stats(), &mut last_vocab);
     }
     telemetry.pipeline.queue_depth.set(0);
 

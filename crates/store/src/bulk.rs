@@ -9,7 +9,7 @@
 //! A [`BulkLoader`] is a per-thread workspace: documents and links
 //! accumulate locally (no lock taken) and are flushed to the shared
 //! [`DocumentStore`] in one batch once the workspace fills up. The
-//! `store_throughput` bench compares this against row-at-a-time inserts.
+//! `exp_storage` experiment compares this against row-at-a-time inserts.
 
 use crate::tables::{DocumentRow, LinkRow};
 use crate::{DocumentStore, StoreError};

@@ -414,7 +414,7 @@ impl std::fmt::Debug for Spine {
         f.debug_struct("Spine")
             .field("dir", &self.dir)
             .field("segments", &self.manifest.segments.len())
-            .field("sealed_docs", &self.locs.len())
+            .field("sealed_docs", &self.sealed_documents())
             .field("workspace_docs", &self.ws_docs.len())
             .finish()
     }
@@ -1432,6 +1432,7 @@ mod tests {
         spine.insert_document(doc(8, None)).unwrap();
         assert_eq!(spine.document_count(), 9);
         assert_eq!(spine.sealed_documents(), 8);
+        assert!(format!("{spine:?}").contains("sealed_docs: 8"), "{spine:?}");
         for i in 0..9 {
             assert_eq!(spine.document(i).unwrap().title, format!("doc {i}"));
         }

@@ -50,10 +50,11 @@ const SAMPLE_EVERY: usize = 64;
 
 /// File-name prefixes of every spill-file family the system writes or
 /// once wrote. The stale-file sweep on recovery reaps all of them —
-/// frontier slots, dedup shards, vocabulary string logs, distributed
-/// lease journals, per-node scratch directories, and the `work-`
-/// overflow files of the retired spillable threaded work queue alike
-/// (see [`reap_stale_spill_files`]).
+/// frontier slots, dedup shards, distributed lease journals, per-node
+/// scratch directories, and the files of two retired spill tiers (the
+/// `vocab-` term logs of the spilling vocabulary and the `work-`
+/// overflow files of the spillable threaded work queue) alike (see
+/// [`reap_stale_spill_files`]).
 pub const SPILL_FILE_PREFIXES: &[&str] = &["slot-", "dedup-", "vocab-", "work-", "lease-", "node-"];
 
 /// Suffix shared by all spill scratch files.

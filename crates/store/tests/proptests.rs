@@ -1,9 +1,10 @@
 //! Property-based tests of the storage engine: index consistency under
 //! arbitrary operation sequences and lossless snapshots of arbitrary
-//! databases.
+//! databases, plus decoder fuzzing: arbitrary bytes never decode as a
+//! snapshot or a generation manifest, and never panic the decoders.
 
 use bingo_graph::LinkSource;
-use bingo_store::{persist, DocumentRow, DocumentStore, HostRow, HostState, LinkRow};
+use bingo_store::{durable, persist, DocumentRow, DocumentStore, HostRow, HostState, LinkRow};
 use bingo_textproc::MimeType;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -256,6 +257,28 @@ proptest! {
         let mut re_snap = Vec::new();
         persist::write_snapshot(&re, &mut re_snap).unwrap();
         prop_assert_eq!(&mem_snap, &re_snap, "reopen snapshot bytes diverged");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes are never a store snapshot: the reader returns
+    /// an error instead of panicking.
+    #[test]
+    fn read_snapshot_rejects_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
+        prop_assert!(persist::read_snapshot(bytes.as_slice()).is_err());
+    }
+
+    /// Arbitrary bytes as a generation's `MANIFEST.json` never verify,
+    /// and never panic the verifier.
+    #[test]
+    fn verify_generation_rejects_arbitrary_manifests(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
+        let dir = fresh_dir("manifest-fuzz");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(durable::MANIFEST_FILE), &bytes).unwrap();
+        prop_assert!(durable::verify_generation(&dir).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 }
